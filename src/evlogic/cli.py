@@ -4,7 +4,8 @@ Subcommands: ``interpretations``, ``entail``, ``ds-entail``,
 ``ds-combine``, and ``joint``.  Output is deterministic text with exact
 rationals plus 6-decimal approximations, or JSON under ``--json``.
 Exit codes: 0 success; 1 usage, file, or data errors; 2 for an
-unsatisfiable probability or interval system; 3 for exceeded size caps.
+unsatisfiable probability or interval system; 3 for exceeded size caps;
+4 for an internal fault of the engine.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from .errors import (
     EngineError,
     Incoherent,
     InfeasibleIntervals,
+    PivotLimitExceeded,
     TotalConflict,
+    Unbounded,
 )
 from .evidential import IntervalSystem, combine, evidential_entail
 from .formula import to_text
@@ -383,6 +386,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CapExceeded, AtomCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (Unbounded, PivotLimitExceeded) as exc:
+        print(f"error: internal fault: {exc}", file=sys.stderr)
+        return 4
     except (_UsageError, EngineError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,8 +1,9 @@
 """Exception types shared across the engine.
 
 The CLI maps these onto exit codes: file/parse problems exit 1, semantic
-infeasibility (no distribution or mass assignment fits) exits 2, and
-resource caps exit 3.
+infeasibility (no distribution or mass assignment fits) exits 2,
+resource caps exit 3, and internal faults of the engine (``Unbounded``
+from an engine query, ``PivotLimitExceeded``) exit 4.
 """
 
 from __future__ import annotations

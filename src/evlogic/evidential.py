@@ -5,7 +5,7 @@ rows; support and plausibility of a row set follow by subset summation.
 Two mass functions combine by intersecting focal pairs and renormalizing
 away the conflict.  Entailment of a query sentence from an interval
 system is answered by optimizing over every mass function compatible
-with the system, one LP solve per bound.
+with the system: one exact LP, optimized once per bound.
 """
 
 from __future__ import annotations
@@ -220,7 +220,7 @@ def evidential_entail(
     equal the given endpoints, with the relaxed relation support may
     exceed spt and plausibility may undercut pls.  The answer is
     [min support(target), max plausibility(target)] over the feasible
-    set, each bound from one exact LP solve.
+    set, both bounds from one exact LP with two objectives.
 
     The default focal family is every nonempty subset of the extended
     frame's rows (consistent rows only in strict mode), capped at
@@ -290,14 +290,10 @@ def evidential_entail(
 
     t_mask = row_mask(j for j in universe if j & 1)
     try:
-        lo, _ = linsolve.solve(
-            linsolve.linear_program(len(family), constraints, subset_coeffs(t_mask)),
-            "minimize",
-        )
-        anti, _ = linsolve.solve(
-            linsolve.linear_program(
-                len(family), constraints, subset_coeffs(full_mask & ~t_mask)),
-            "minimize",
+        (lo, _), (anti, _) = linsolve.solve_each(
+            linsolve.linear_program(len(family), constraints, []),
+            [(subset_coeffs(t_mask), "minimize"),
+             (subset_coeffs(full_mask & ~t_mask), "minimize")],
         )
     except Infeasible:
         raise InfeasibleIntervals(

@@ -4,11 +4,15 @@ Dense-tableau two-phase simplex with Bland's anti-cycling pivot rule.
 All arithmetic is on ``fractions.Fraction``, so optima and witnesses are
 exact; there are no tolerances anywhere.  Problem sizes here are desk
 scale (tens of rows, at most tens of thousands of columns), which is
-what the dense representation is sized for.
+what the dense representation is sized for.  A pivot updates rows in
+place, only at the columns where the pivot row is nonzero.  Phase 1 runs
+once per constraint set: ``solve_each`` starts the phase 2 of each
+objective from a copy of that one feasible basis.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -109,14 +113,21 @@ class _Tableau:
     def is_artificial(self, col: int) -> bool:
         return col >= self.n + self.num_slacks
 
+    def copy(self) -> _Tableau:
+        other = copy.copy(self)
+        other.rows = [row[:] for row in self.rows]
+        other.basis = self.basis[:]
+        return other
+
     def reduced_costs(self, cost: list[Fraction]) -> list[Fraction]:
         """Cost row with basic columns eliminated; last entry is -objective."""
         cr = cost + [ZERO]
         for i, b in enumerate(self.basis):
             cb = cr[b]
-            if cb != 0:
-                row = self.rows[i]
-                cr = [cv - cb * rv for cv, rv in zip(cr, row)]
+            if cb:
+                for c, rv in enumerate(self.rows[i]):
+                    if rv:
+                        cr[c] -= cb * rv
         return cr
 
     def pivot(self, i: int, j: int, cr: list[Fraction]):
@@ -127,19 +138,16 @@ class _Tableau:
                 f"{self.m} rows x {self.ncols} columns")
         row = self.rows[i]
         piv = row[j]
+        nonzero = [c for c, v in enumerate(row) if v]
         if piv != 1:
-            row = [v / piv for v in row]
-            self.rows[i] = row
-        for k in range(self.m):
-            if k == i:
-                continue
-            f = self.rows[k][j]
-            if f != 0:
-                other = self.rows[k]
-                self.rows[k] = [a - f * b for a, b in zip(other, row)]
-        f = cr[j]
-        if f != 0:
-            cr[:] = [a - f * b for a, b in zip(cr, row)]
+            for c in nonzero:
+                row[c] /= piv
+        entries = [(c, row[c]) for c in nonzero]
+        for other in self.rows + [cr]:
+            f = other[j]
+            if f and other is not row:
+                for c, v in entries:
+                    other[c] -= f * v
         self.basis[i] = j
 
     def run(self, cr: list[Fraction], allowed: int) -> None:
@@ -167,19 +175,11 @@ class _Tableau:
             self.pivot(leave, enter, cr)
 
 
-def solve(
-    lp: LinearProgram, direction: str = "minimize"
-) -> tuple[Fraction, list[Fraction]]:
-    """Exact optimum and an attaining feasible point.
-
-    Raises Infeasible when the feasible region is empty and Unbounded
-    when the objective has no finite optimum in the given direction.
-    """
-    if direction not in ("minimize", "maximize"):
-        raise ValueError(f"bad direction {direction!r}")
+def _phase1(lp: LinearProgram) -> _Tableau:
+    """A feasible basis free of artificials, with redundant rows dropped."""
     t = _Tableau(lp)
 
-    # Phase 1: minimize the sum of artificials.
+    # Minimize the sum of artificials.
     cost1 = [ZERO] * t.ncols
     for j in range(t.n + t.num_slacks, t.ncols):
         cost1[j] = ONE
@@ -192,33 +192,59 @@ def solve(
     # rows that turn out redundant.
     keep: list[int] = []
     for i in range(t.m):
-        if not t.is_artificial(t.basis[i]):
-            keep.append(i)
-            continue
-        swapped = False
-        for j in range(t.n + t.num_slacks):
-            if t.rows[i][j] != 0:
-                t.pivot(i, j, cr)
-                keep.append(i)
-                swapped = True
-                break
-        if not swapped:
-            continue  # redundant constraint row
+        if t.is_artificial(t.basis[i]):
+            row = t.rows[i]
+            j = next((j for j in range(t.n + t.num_slacks) if row[j] != 0), -1)
+            if j < 0:
+                continue  # redundant constraint row
+            t.pivot(i, j, cr)
+        keep.append(i)
     t.rows = [t.rows[i] for i in keep]
     t.basis = [t.basis[i] for i in keep]
     t.m = len(keep)
+    return t
 
-    # Phase 2: the real objective, artificial columns off limits.
+
+def _phase2(
+    t: _Tableau, objective: Coeffs, direction: str
+) -> tuple[Fraction, list[Fraction]]:
+    """Optimize from a phase-1 basis, artificial columns off limits."""
     sign = ONE if direction == "minimize" else -ONE
     cost2 = [ZERO] * t.ncols
-    for idx, c in lp.objective:
+    for idx, c in objective:
         cost2[idx] = sign * c
     cr = t.reduced_costs(cost2)
     t.run(cr, allowed=t.n + t.num_slacks)
 
-    witness = [ZERO] * lp.num_vars
+    witness = [ZERO] * t.n
     for i, b in enumerate(t.basis):
-        if b < lp.num_vars:
+        if b < t.n:
             witness[b] = t.rows[i][t.ncols]
-    value = sum((c * witness[idx] for idx, c in lp.objective), ZERO)
+    value = sum((c * witness[idx] for idx, c in objective), ZERO)
     return value, witness
+
+
+def solve_each(
+    lp: LinearProgram, objectives: Sequence[tuple[Coeffs, str]]
+) -> list[tuple[Fraction, list[Fraction]]]:
+    """``solve`` for each ``(coeffs, direction)`` over the constraints of
+    ``lp``, sharing one phase 1; results and exceptions are the same as
+    from one ``solve`` per objective, in order.
+    """
+    for coeffs, direction in objectives:
+        if direction not in ("minimize", "maximize"):
+            raise ValueError(f"bad direction {direction!r}")
+        lp._check_coeffs(coeffs)
+    t = _phase1(lp)
+    return [_phase2(t.copy(), coeffs, direction) for coeffs, direction in objectives]
+
+
+def solve(
+    lp: LinearProgram, direction: str = "minimize"
+) -> tuple[Fraction, list[Fraction]]:
+    """Exact optimum and an attaining feasible point.
+
+    Raises Infeasible when the feasible region is empty and Unbounded
+    when the objective has no finite optimum in the given direction.
+    """
+    return solve_each(lp, [(lp.objective, direction)])[0]

@@ -3,8 +3,8 @@
 Treats the sentence set as a multi-dimensional binary random variable:
 a joint distribution assigns an exact rational probability to every row
 of the frame.  Marginals, conditionals and the Bayes identities fall
-out by summation; entailment bounds on a query sentence come from two
-exact LP solves over the permissible distributions.
+out by summation; entailment bounds on a query sentence are the exact
+minimum and maximum of one LP over the permissible distributions.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 from . import linsolve
 from .errors import (
+    CapExceeded,
     Incoherent,
     Infeasible,
     ImpermissibleConditional,
@@ -187,8 +188,8 @@ def entail_bounds(
     objective = [(k, ONE) for k, j in enumerate(columns) if j & 1]
     lp = linsolve.linear_program(len(columns), constraints, objective)
     try:
-        lo, _ = linsolve.solve(lp, "minimize")
-        hi, _ = linsolve.solve(lp, "maximize")
+        (lo, _), (hi, _) = linsolve.solve_each(
+            lp, [(lp.objective, "minimize"), (lp.objective, "maximize")])
     except Infeasible:
         raise Incoherent("incoherent probability assignment") from None
     return lo, hi
@@ -201,8 +202,6 @@ def _extended_space(
     max_sentences: int,
     max_atoms: int,
 ) -> InterpretationSpace:
-    from .errors import CapExceeded
-
     if sentences.n > max_sentences:
         raise CapExceeded("sentences", sentences.n, max_sentences)
     return interpretation_space(

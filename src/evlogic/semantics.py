@@ -13,18 +13,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import AtomCapExceeded, CapExceeded, MissingAtom, UnknownName
 from .formula import And, Atom, Const, Formula, Iff, Imp, Not, Or, atoms, evaluate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_SENTENCES = 10
 DEFAULT_MAX_ATOMS = 20
 
 # Below this many atoms a plain Python sweep beats the fixed overhead of
-# the vectorized one.
+# the vectorized one, numpy's import included.
 _SMALL_SWEEP_ATOMS = 10
 
 
@@ -107,6 +108,7 @@ def _eval_bulk(f: Formula, columns: dict[str, np.ndarray]) -> np.ndarray:
     if isinstance(f, Atom):
         return columns[f.name]
     if isinstance(f, Const):
+        import numpy as np
         size = len(next(iter(columns.values())))
         return np.full(size, f.value, dtype=bool)
     if isinstance(f, Not):
@@ -123,6 +125,7 @@ def _eval_bulk(f: Formula, columns: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def _sweep_numpy(sentences: SentenceSet) -> frozenset[int]:
+    import numpy as np
     names = sentences.atom_names
     a = len(names)
     t = np.arange(1 << a, dtype=np.uint32)
@@ -139,7 +142,9 @@ def _sweep_numpy(sentences: SentenceSet) -> frozenset[int]:
     return frozenset(int(j) for j in np.nonzero(flags)[0])
 
 
-@lru_cache(maxsize=4096)
+# Serves repeated is_realizable calls; small, as each entry keeps its
+# SentenceSet alive.
+@lru_cache(maxsize=64)
 def _realizable_indices(sentences: SentenceSet) -> frozenset[int]:
     """Indices of all realizable truth-value vectors, by exhaustive sweep
     over every atom assignment."""

@@ -2,12 +2,18 @@
 round-trips through the printed formats."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import evlogic
+from evlogic import linsolve
 from evlogic.cli import main
+from evlogic.errors import PivotLimitExceeded, Unbounded
 from evlogic.formula import parse
 from evlogic.kb import load_joint, load_mass
 from evlogic.semantics import interpretation_space, sentence_set
@@ -332,3 +338,24 @@ class TestExitCodes:
             capsys, "entail", DATA / "quaker.kb", "--max-sentences", "2")
         assert code == 3
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("fault", [Unbounded, PivotLimitExceeded])
+    def test_internal_fault(self, capsys, monkeypatch, fault):
+        def broken(lp, objectives):
+            raise fault("injected")
+
+        monkeypatch.setattr(linsolve, "solve_each", broken)
+        code, out, err = run(capsys, "entail", DATA / "modus_ponens.kb")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error:")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(evlogic.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, evlogic.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout == "False\n"

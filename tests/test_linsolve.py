@@ -5,8 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from evlogic import linsolve
 from evlogic.errors import Infeasible, Unbounded
-from evlogic.linsolve import LinearProgram, linear_program, solve
+from evlogic.evidential import (
+    EvidentialInterval,
+    evidential_entail,
+    interval_system,
+    mass_function,
+)
+from evlogic.formula import parse
+from evlogic.linsolve import LinearProgram, linear_program, solve, solve_each
+from evlogic.problog import entail_bounds
+from evlogic.semantics import interpretation_space, sentence_set
 
 from .oracles import vertex_lp_oracle
 
@@ -144,15 +154,42 @@ class TestAgainstVertexOracle:
             objective = [(i, F(rng.randint(-3, 3))) for i in range(num_vars)]
             lp = linear_program(num_vars, rows, objective)
             expected = vertex_lp_oracle(num_vars, rows, objective)
+            both = [(objective, "minimize"), (objective, "maximize")]
             if expected is None:
                 with pytest.raises(Infeasible):
                     solve(lp, "minimize")
+                with pytest.raises(Infeasible):
+                    solve_each(lp, both)
                 continue
             lo, lo_witness = solve(lp, "minimize")
             hi, hi_witness = solve(lp, "maximize")
             assert (lo, hi) == expected
+            assert solve_each(lp, both) == [(lo, lo_witness), (hi, hi_witness)]
             for witness, value in ((lo_witness, lo), (hi_witness, hi)):
                 assert feasible(lp, witness)
                 assert objective_at(lp, witness) == value
             checked += 1
         assert checked >= 30
+
+
+def test_one_phase_one_per_query(monkeypatch):
+    """Both bounds of a query share one tableau and one phase 1."""
+    built = []
+
+    class Counted(linsolve._Tableau):
+        def __init__(self, lp):
+            built.append(lp)
+            super().__init__(lp)
+
+    monkeypatch.setattr(linsolve, "_Tableau", Counted)
+    sentences = sentence_set([("a", parse("P")), ("b", parse("P -> Q"))])
+    assert entail_bounds(sentences, [F(7, 10), F(9, 10)], parse("Q")) == (
+        F(3, 5), F(9, 10))
+    assert len(built) == 1
+
+    space = interpretation_space(sentences)
+    system = interval_system(
+        sentences, mass_function(space, {(3,): F(3, 5), (1, 3): F(2, 5)}))
+    assert evidential_entail(system, parse("Q")) == EvidentialInterval(
+        F(3, 5), F(1))
+    assert len(built) == 2
