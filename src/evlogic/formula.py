@@ -121,10 +121,29 @@ def _tokenize(text: str) -> Iterator[_Token]:
     yield _Token("EOF", "", byte_pos)
 
 
+# Deepest AST, and deepest nesting of parentheses, a formula may have.
+# Walkers recurse once per AST level and the parser at most twice per
+# level, well inside Python's default recursion limit.
+MAX_DEPTH = 200
+
+# Binary connectives by token kind: precedence (higher binds tighter),
+# node class, and whether the connective associates to the right.
+_BINARY = {
+    "IFF": (1, Iff, True),
+    "IMP": (2, Imp, True),
+    "OR": (3, Or, False),
+    "AND": (4, And, False),
+}
+
+
 class _Parser:
+    """Precedence climbing.  Each parse method returns a formula with its
+    depth, and ``level`` is the AST depth at which the parsed text sits."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.parens = 0
 
     @property
     def current(self) -> _Token:
@@ -140,89 +159,94 @@ class _Parser:
         what = "end of input" if tok.kind == "EOF" else repr(tok.text)
         raise FormulaSyntaxError(f"unexpected {what}", tok.offset, expected)
 
-    def parse_iff(self) -> Formula:
-        left = self.parse_imp()
-        if self.current.kind == "IFF":
-            self.advance()
-            return Iff(left, self.parse_iff())
-        return left
+    def check_depth(self, depth: int, tok: _Token) -> int:
+        if depth > MAX_DEPTH:
+            raise FormulaSyntaxError(
+                f"formula nested more than {MAX_DEPTH} levels deep", tok.offset,
+                f"at most {MAX_DEPTH} levels of connectives or parentheses")
+        return depth
 
-    def parse_imp(self) -> Formula:
-        left = self.parse_or()
-        if self.current.kind == "IMP":
-            self.advance()
-            return Imp(left, self.parse_imp())
-        return left
+    def parse_binary(self, min_prec: int, level: int) -> tuple[Formula, int]:
+        left, depth = self.parse_unary(level)
+        while (op := _BINARY.get(self.current.kind)) and op[0] >= min_prec:
+            prec, node, right_assoc = op
+            tok = self.advance()
+            right, right_depth = self.parse_binary(
+                prec if right_assoc else prec + 1, level + 1)
+            left = node(left, right)
+            depth = self.check_depth(max(depth, right_depth) + 1, tok)
+        return left, depth
 
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while self.current.kind == "OR":
-            self.advance()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_unary()
-        while self.current.kind == "AND":
-            self.advance()
-            left = And(left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Formula:
-        if self.current.kind == "NOT":
-            self.advance()
-            return Not(self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self) -> Formula:
+    def parse_unary(self, level: int) -> tuple[Formula, int]:
         tok = self.current
-        if tok.kind == "LPAREN":
+        self.check_depth(level, tok)
+        if tok.kind == "NOT":
             self.advance()
-            inner = self.parse_iff()
+            operand, depth = self.parse_unary(level + 1)
+            return Not(operand), depth + 1
+        if tok.kind == "LPAREN":
+            self.parens = self.check_depth(self.parens + 1, tok)
+            self.advance()
+            inner, depth = self.parse_binary(1, level)
             if self.current.kind != "RPAREN":
                 self.fail("a closing parenthesis")
             self.advance()
-            return inner
+            self.parens -= 1
+            return inner, depth
         if tok.kind == "IDENT":
             self.advance()
             if tok.text == "true":
-                return TRUE
+                return TRUE, 1
             if tok.text == "false":
-                return FALSE
-            return Atom(tok.text)
+                return FALSE, 1
+            return Atom(tok.text), 1
         self.fail("an identifier, a constant, '~', or '('")
         raise AssertionError("unreachable")
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text into an AST, or raise FormulaSyntaxError."""
+    """Parse formula text into an AST, or raise FormulaSyntaxError,
+    also when the AST or the parentheses nest deeper than MAX_DEPTH."""
     parser = _Parser(list(_tokenize(text)))
-    result = parser.parse_iff()
+    result, _ = parser.parse_binary(1, 1)
     if parser.current.kind != "EOF":
         parser.fail("end of input or an operator")
     return result
 
 
-def evaluate(f: Formula, assignment: Mapping[str, bool]) -> bool:
-    """Classical two-valued evaluation under a total atom assignment."""
+def truth_table(f: Formula, columns: Mapping[str, int], ones: int) -> int:
+    """Values of ``f`` under many assignments at once, one bit each.
+
+    Bit t of ``columns[name]`` is the atom's value under assignment t,
+    and ``ones`` has a bit set for every assignment; bit t of the result
+    is the value of ``f`` under assignment t.
+    """
     if isinstance(f, Atom):
         try:
-            return bool(assignment[f.name])
+            return columns[f.name]
         except KeyError:
             raise MissingAtom(f.name) from None
     if isinstance(f, Const):
-        return f.value
+        return ones if f.value else 0
     if isinstance(f, Not):
-        return not evaluate(f.operand, assignment)
+        return ones ^ truth_table(f.operand, columns, ones)
+    if not isinstance(f, (And, Or, Imp, Iff)):
+        raise TypeError(f"not a formula: {f!r}")
+    left = truth_table(f.left, columns, ones)
+    right = truth_table(f.right, columns, ones)
     if isinstance(f, And):
-        return evaluate(f.left, assignment) and evaluate(f.right, assignment)
+        return left & right
     if isinstance(f, Or):
-        return evaluate(f.left, assignment) or evaluate(f.right, assignment)
+        return left | right
     if isinstance(f, Imp):
-        return (not evaluate(f.left, assignment)) or evaluate(f.right, assignment)
-    if isinstance(f, Iff):
-        return evaluate(f.left, assignment) == evaluate(f.right, assignment)
-    raise TypeError(f"not a formula: {f!r}")
+        return (ones ^ left) | right
+    return ones ^ left ^ right
+
+
+def evaluate(f: Formula, assignment: Mapping[str, bool]) -> bool:
+    """Classical two-valued evaluation under a total atom assignment."""
+    bits = {name: 1 if value else 0 for name, value in assignment.items()}
+    return truth_table(f, bits, 1) == 1
 
 
 def atoms(f: Formula) -> tuple[str, ...]:

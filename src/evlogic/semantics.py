@@ -7,26 +7,22 @@ meaning true.  A row is consistent when some assignment to the
 underlying atoms realizes its truth-value vector; inconsistent rows are
 kept in the frame and flagged, since queries decide per call whether to
 prune them.
+
+Consistency comes from one bit-parallel sweep: every truth table over
+all atom assignments is one Python int, searched by a pruned DFS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import AtomCapExceeded, CapExceeded, MissingAtom, UnknownName
-from .formula import And, Atom, Const, Formula, Iff, Imp, Not, Or, atoms, evaluate
-
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import AtomCapExceeded, CapExceeded, UnknownName
+from .formula import Formula, atoms, truth_table
 
 DEFAULT_MAX_SENTENCES = 10
 DEFAULT_MAX_ATOMS = 20
-
-# Below this many atoms a plain Python sweep beats the fixed overhead of
-# the vectorized one, numpy's import included.
-_SMALL_SWEEP_ATOMS = 10
 
 
 @dataclass(frozen=True)
@@ -85,72 +81,66 @@ def vector_to_index(v: Sequence[bool]) -> int:
     return j
 
 
-def _sweep_python(sentences: SentenceSet) -> frozenset[int]:
-    names = sentences.atom_names
-    formulas = sentences.formulas
-    n = sentences.n
-    found: set[int] = set()
-    for t in range(1 << len(names)):
-        assignment = {
-            name: bool((t >> (len(names) - 1 - k)) & 1)
-            for k, name in enumerate(names)
-        }
-        j = 0
-        for f in formulas:
-            j = (j << 1) | (1 if evaluate(f, assignment) else 0)
-        found.add(j)
-        if len(found) == 1 << n:
-            break
-    return frozenset(found)
+def _column(k: int, count: int) -> int:
+    """Truth table of variable k of ``count`` over all 2**count
+    assignments: bit t is bit ``count - 1 - k`` of t, so variable 0 is the
+    most significant bit of the assignment index."""
+    half = 1 << (count - 1 - k)
+    column = ((1 << half) - 1) << half
+    width = 2 * half
+    while width < 1 << count:
+        column |= column << width
+        width *= 2
+    return column
 
 
-def _eval_bulk(f: Formula, columns: dict[str, np.ndarray]) -> np.ndarray:
-    if isinstance(f, Atom):
-        return columns[f.name]
-    if isinstance(f, Const):
-        import numpy as np
-        size = len(next(iter(columns.values())))
-        return np.full(size, f.value, dtype=bool)
-    if isinstance(f, Not):
-        return ~_eval_bulk(f.operand, columns)
-    if isinstance(f, And):
-        return _eval_bulk(f.left, columns) & _eval_bulk(f.right, columns)
-    if isinstance(f, Or):
-        return _eval_bulk(f.left, columns) | _eval_bulk(f.right, columns)
-    if isinstance(f, Imp):
-        return ~_eval_bulk(f.left, columns) | _eval_bulk(f.right, columns)
-    if isinstance(f, Iff):
-        return _eval_bulk(f.left, columns) == _eval_bulk(f.right, columns)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _sweep_numpy(sentences: SentenceSet) -> frozenset[int]:
-    import numpy as np
-    names = sentences.atom_names
-    a = len(names)
-    t = np.arange(1 << a, dtype=np.uint32)
-    columns = {
-        name: ((t >> (a - 1 - k)) & 1).astype(bool)
-        for k, name in enumerate(names)
-    }
-    n = sentences.n
-    codes = np.zeros(1 << a, dtype=np.uint32)
-    for i, f in enumerate(sentences.formulas):
-        codes |= _eval_bulk(f, columns).astype(np.uint32) << np.uint32(n - 1 - i)
-    flags = np.zeros(1 << n, dtype=bool)
-    flags[codes] = True
-    return frozenset(int(j) for j in np.nonzero(flags)[0])
+# Assignments per DFS slice.  A DFS step costs interpreter overhead plus
+# time linear in its mask, so full-width (2**20-bit) steps are slow on
+# dense frames and very narrow slices repeat the search too many times.
+_SLICE_BITS = 1 << 17
 
 
 # Serves repeated is_realizable calls; small, as each entry keeps its
 # SentenceSet alive.
 @lru_cache(maxsize=64)
 def _realizable_indices(sentences: SentenceSet) -> frozenset[int]:
-    """Indices of all realizable truth-value vectors, by exhaustive sweep
-    over every atom assignment."""
-    if len(sentences.atom_names) <= _SMALL_SWEEP_ATOMS:
-        return _sweep_python(sentences)
-    return _sweep_numpy(sentences)
+    """Indices of all realizable truth-value vectors: per slice of atom
+    assignments, a DFS over the sentences splits the assignments left by
+    each truth table in turn and skips empty branches."""
+    names = sentences.atom_names
+    size = 1 << len(names)
+    columns = {name: _column(k, len(names)) for k, name in enumerate(names)}
+    tables = [truth_table(f, columns, (1 << size) - 1) for f in sentences.formulas]
+    full = 1 << sentences.n
+    raw = [t.to_bytes((size + 7) // 8, "little") for t in tables]
+    bits = min(size, _SLICE_BITS)
+    step = (bits + 7) // 8
+    # Rows found below each node of the tree of truth-value prefixes,
+    # numbered as a binary heap: node k has children 2k (next sentence
+    # false) and 2k + 1 (true), and leaf full + j is row j.  A subtree
+    # whose rows are all found is not searched again in later slices.
+    below = [0] * (2 * full)
+    found = []
+    for start in range(0, len(raw[0]), step):
+        part = [int.from_bytes(r[start:start + step], "little") for r in raw]
+        stack = [(1, (1 << bits) - 1)]
+        while stack:
+            k, rest = stack.pop()
+            if k >= full:
+                found.append(k - full)
+                while k:
+                    below[k] += 1
+                    k >>= 1
+                continue
+            hit = rest & part[k.bit_length() - 1]
+            room = full >> k.bit_length()
+            if hit and below[2 * k + 1] < room:
+                stack.append((2 * k + 1, hit))
+            if hit != rest and below[2 * k] < room:
+                stack.append((2 * k, rest ^ hit))
+        if below[1] == full:
+            break
+    return frozenset(found)
 
 
 def _check_atom_cap(sentences: SentenceSet, max_atoms: int):
@@ -217,6 +207,16 @@ def interpretation_space(
     return InterpretationSpace(sentences, flags)
 
 
+def _rows(space: InterpretationSpace, table: int, restrict: bool) -> frozenset[int]:
+    """Rows whose bit is set in a truth table over the frame, optionally
+    dropping inconsistent rows."""
+    bits = reversed(f"{table:0{space.size}b}")
+    rows = (j for j, bit in enumerate(bits) if bit == "1")
+    if restrict:
+        return frozenset(j for j in rows if space.consistent[j])
+    return frozenset(rows)
+
+
 def support_set(
     space: InterpretationSpace, i: int, restrict_consistent: bool = False
 ) -> frozenset[int]:
@@ -224,24 +224,7 @@ def support_set(
     inconsistent rows."""
     if not 0 <= i < space.n:
         raise IndexError(i)
-    shift = space.n - 1 - i
-    rows = (j for j in range(space.size) if (j >> shift) & 1)
-    if restrict_consistent:
-        return frozenset(j for j in rows if space.consistent[j])
-    return frozenset(rows)
-
-
-def sentence_matrix(
-    space: InterpretationSpace, columns: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """0/1 matrix of sentence truth values, one column per selected row."""
-    for j in columns:
-        if not 0 <= j < space.size:
-            raise IndexError(j)
-    n = space.n
-    return tuple(
-        tuple((j >> (n - 1 - i)) & 1 for j in columns) for i in range(n)
-    )
+    return _rows(space, _column(i, space.n), restrict_consistent)
 
 
 def rows_satisfying(
@@ -254,17 +237,9 @@ def rows_satisfying(
     for name in atoms(f):
         if name not in known:
             raise UnknownName(f"formula mentions undeclared sentence {name!r}")
-    matching = []
-    for j in range(space.size):
-        if restrict_consistent and not space.consistent[j]:
-            continue
-        v = index_to_vector(j, space.n)
-        try:
-            if evaluate(f, dict(zip(names, v))):
-                matching.append(j)
-        except MissingAtom as exc:  # pragma: no cover - guarded above
-            raise UnknownName(str(exc)) from exc
-    return frozenset(matching)
+    columns = {name: _column(i, space.n) for i, name in enumerate(names)}
+    table = truth_table(f, columns, (1 << space.size) - 1)
+    return _rows(space, table, restrict_consistent)
 
 
 def fresh_sentence_name(sentences: SentenceSet) -> str:

@@ -327,6 +327,21 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("formula", [
+        "~" * 5000 + "P",
+        "(" * 3000 + "P" + ")" * 3000,
+        " & ".join(["P"] * 3000),
+    ], ids=["negations", "parentheses", "conjunctions"])
+    def test_deep_formula(self, capsys, tmp_path, formula):
+        deep = tmp_path / "deep.kb"
+        deep.write_text(
+            f"sentence a : P\nprob a = 1/2\nquery {formula}\n", encoding="utf-8")
+        code, out, err = run(capsys, "entail", deep)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "nested more than" in err
+
     def test_atom_cap(self, capsys):
         code, _, err = run(
             capsys, "entail", DATA / "modus_ponens.kb", "--max-atoms", "1")
@@ -359,3 +374,26 @@ def test_cli_import_leaves_numpy_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True, timeout=60)
     assert result.stdout == "False\n"
+
+
+def test_engine_runs_without_numpy():
+    # numpy blocked outright: a 20-atom frame and a strict entailment
+    # over it need nothing beyond the standard library
+    src = Path(evlogic.__file__).resolve().parents[1]
+    script = """
+import sys
+sys.modules["numpy"] = None
+from fractions import Fraction
+from evlogic import entail_bounds, interpretation_space, parse, sentence_set
+q = " | ".join(f"x{i:02d}" for i in range(1, 20))
+sentences = sentence_set([("premise", parse("x00")), ("rule", parse(f"x00 -> ({q})"))])
+space = interpretation_space(sentences)
+assert len(sentences.atom_names) == 20 and space.consistent_indices == {1, 2, 3}
+print(*entail_bounds(sentences, [Fraction(7, 10), Fraction(9, 10)], parse(q), "strict"))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "3/5 9/10\n"

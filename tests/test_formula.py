@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from evlogic.errors import FormulaSyntaxError, MissingAtom
 from evlogic.formula import (
+    MAX_DEPTH,
     And,
     Atom,
     Const,
@@ -104,6 +105,38 @@ class TestParse:
             parse(text)
         assert excinfo.value.offset == offset
         assert excinfo.value.expected
+
+    @pytest.mark.parametrize(
+        "text,offset",
+        [
+            # negations, parentheses and a right-associated chain cross the
+            # cap at the token one level too deep; a left-associated chain
+            # at the operator that makes it one level too tall
+            ("~" * 5000 + "P", MAX_DEPTH),
+            ("(" * 3000 + "P" + ")" * 3000, MAX_DEPTH),
+            (" & ".join(["P"] * 3000), 4 * MAX_DEPTH - 2),
+            (" -> ".join(["P"] * 3000), 5 * MAX_DEPTH),
+        ],
+        ids=["negations", "parentheses", "conjunctions", "implications"],
+    )
+    def test_deep_formulas_are_syntax_errors(self, text, offset):
+        with pytest.raises(FormulaSyntaxError) as excinfo:
+            parse(text)
+        assert excinfo.value.offset == offset
+
+    def test_formulas_at_the_depth_cap_parse(self):
+        deepest = [
+            "~" * (MAX_DEPTH - 1) + "P",
+            "(" * MAX_DEPTH + "P" + ")" * MAX_DEPTH,
+            " & ".join(["P"] * MAX_DEPTH),
+            " <-> ".join(["P"] * MAX_DEPTH),
+        ]
+        for text in deepest:
+            f = parse(text)
+            # every recursive walker handles the deepest formula parse accepts
+            assert evaluate(f, {"P": True}) == eval_oracle(f, {"P": True})
+            assert atoms(f) == ("P",)
+            assert parse(to_text(f)) == f
 
     def test_unicode_offset_is_in_bytes(self):
         with pytest.raises(FormulaSyntaxError) as excinfo:

@@ -1,30 +1,29 @@
 """Interpretation frame construction, consistency, and support sets."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evlogic import semantics
 from evlogic.errors import AtomCapExceeded, CapExceeded, UnknownName
-from evlogic.formula import Atom, parse
+from evlogic.formula import And, Atom, Const, Iff, Imp, Not, Or, parse
 from evlogic.semantics import (
     SentenceSet,
-    _sweep_numpy,
-    _sweep_python,
     extended_set,
     fresh_sentence_name,
     index_to_vector,
     interpretation_space,
     is_realizable,
     rows_satisfying,
-    sentence_matrix,
     sentence_set,
     support_set,
     vector_to_index,
 )
 
-from .oracles import all_assignments, eval_oracle
+from .oracles import all_assignments, collect_atoms, eval_oracle
 
 
 def S(*pairs: str) -> SentenceSet:
@@ -150,32 +149,96 @@ class TestIsRealizable:
                 assert flag == (v in realizable)
 
 
-class TestSweepPaths:
-    """The pure-Python and vectorized sweeps must agree exactly."""
+_BINARY = [And, Or, Imp, Iff]
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_python_and_numpy_sweeps_agree(self, data):
-        atom_pool = [f"a{i:02d}" for i in range(12)]
-        n = data.draw(st.integers(min_value=1, max_value=3))
-        texts = data.draw(
-            st.lists(
-                st.sampled_from(atom_pool).flatmap(
-                    lambda x: st.sampled_from(atom_pool).map(
-                        lambda y: f"{x} -> {y}")),
-                min_size=n, max_size=n,
-            )
-        )
+
+def formulas_over(names: list[str], max_leaves: int = 8) -> st.SearchStrategy:
+    leaves = st.booleans().map(Const)
+    if names:
+        leaves = st.one_of(st.sampled_from(names).map(Atom), leaves)
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            inner.map(Not),
+            st.tuples(st.sampled_from(_BINARY), inner, inner).map(
+                lambda t: t[0](t[1], t[2])),
+        ),
+        max_leaves=max_leaves,
+    )
+
+
+@st.composite
+def frames(draw) -> SentenceSet:
+    """1-5 sentences over exactly 0-14 atoms.  One sentence chains every
+    atom with random connectives, so the frame reaches its atom count;
+    the others reuse atoms freely."""
+    count = draw(st.integers(min_value=0, max_value=14))
+    names = [f"p{k:02d}" for k in range(count)]
+    formulas = draw(st.lists(formulas_over(names), min_size=0, max_size=4))
+    chain = Atom(names[0]) if names else draw(st.booleans().map(Const))
+    for name in names[1:]:
+        chain = draw(st.sampled_from(_BINARY))(chain, Atom(name))
+    formulas.insert(draw(st.integers(0, len(formulas))), chain)
+    return sentence_set((f"s{i}", f) for i, f in enumerate(formulas))
+
+
+def realizable_oracle(sentences: SentenceSet) -> frozenset[int]:
+    """Row indices read off every atom assignment, first sentence as the
+    most significant bit."""
+    formulas = sentences.formulas
+    names: set[str] = set()
+    for f in formulas:
+        names.update(collect_atoms(f))
+    return frozenset(
+        sum(eval_oracle(f, a) << (len(formulas) - 1 - i)
+            for i, f in enumerate(formulas))
+        for a in all_assignments(sorted(names)))
+
+
+def consistent_indices(sentences: SentenceSet, slice_bits: int) -> frozenset[int]:
+    """The sweep's answer with slices of ``slice_bits`` assignments."""
+    with mock.patch.object(semantics, "_SLICE_BITS", slice_bits):
+        semantics._realizable_indices.cache_clear()
+        try:
+            return interpretation_space(sentences).consistent_indices
+        finally:
+            semantics._realizable_indices.cache_clear()
+
+
+class TestSweep:
+    """The bit-parallel sweep against raw assignment enumeration."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(frames(), st.sampled_from([8, 64, 1024, semantics._SLICE_BITS]))
+    def test_matches_assignment_oracle(self, sentences, slice_bits):
+        # narrow slices put small frames on both sides of the slice width
+        assert len(sentences.atom_names) <= 14
+        assert consistent_indices(sentences, slice_bits) == realizable_oracle(
+            sentences)
+
+    def test_dense_frame_realizes_every_row(self):
+        # eleven contingent sentences over disjoint atoms are independent
+        texts = [f"a{i:02d} -> b{i:02d}" for i in range(9)] + ["a09", "~a10"]
         sentences = sentence_set(
             (f"s{i}", parse(t)) for i, t in enumerate(texts))
-        assert _sweep_python(sentences) == _sweep_numpy(sentences)
+        assert len(sentences.atom_names) == 20
+        space = interpretation_space(sentences, max_sentences=11)
+        assert space.consistent_indices == frozenset(range(2048))
 
-    def test_eleven_atoms_uses_numpy_and_matches(self):
-        text = " | ".join(f"x{i:02d}" for i in range(11))
-        sentences = sentence_set([("s", parse(text)), ("t", parse("x00"))])
-        assert len(sentences.atom_names) == 11
-        space = interpretation_space(sentences)
-        assert space.consistent_indices == _sweep_python(sentences)
+    def test_twenty_atoms_one_unrealizable_row(self):
+        # s10 is forced true exactly when s0..s9 are all true
+        zs = " & ".join(f"z{i}" for i in range(10))
+        ys = " & ".join(f"y{i}" for i in range(10))
+        texts = [f"z{i}" for i in range(10)] + [f"({zs}) | ({ys})"]
+        sentences = sentence_set(
+            (f"s{i}", parse(t)) for i, t in enumerate(texts))
+        assert len(sentences.atom_names) == 20
+        space = interpretation_space(sentences, max_sentences=11)
+        assert space.consistent_indices == frozenset(range(2048)) - {0b11111111110}
+
+    def test_single_atom(self):
+        space = interpretation_space(S("a: P", "b: ~P", "c: P <-> P", "d: P -> false"))
+        assert space.consistent_indices == frozenset({0b1010, 0b0111})
 
 
 class TestSupportSet:
@@ -213,29 +276,6 @@ class TestSupportSet:
             support_set(space, 1)
 
 
-class TestSentenceMatrix:
-    def test_single_sentence(self):
-        space = interpretation_space(S("P: P"))
-        assert sentence_matrix(space, [0, 1]) == ((0, 1),)
-
-    def test_negation_pair_consistent_columns(self):
-        space = interpretation_space(S("a: P", "b: ~P"))
-        assert sentence_matrix(space, [1, 2]) == ((0, 1), (1, 0))
-
-    def test_chain_consistent_columns(self):
-        space = interpretation_space(CHAIN)
-        assert sentence_matrix(space, [2, 3, 4, 7]) == (
-            (0, 0, 1, 1),
-            (1, 1, 0, 1),
-            (0, 1, 0, 1),
-        )
-
-    def test_index_out_of_range(self):
-        space = interpretation_space(S("P: P"))
-        with pytest.raises(IndexError):
-            sentence_matrix(space, [2])
-
-
 class TestRowsSatisfying:
     def test_sentence_names_are_the_atoms(self):
         space = interpretation_space(S("a: P", "b: ~P"))
@@ -254,6 +294,16 @@ class TestRowsSatisfying:
         space = interpretation_space(S("a: P"))
         with pytest.raises(UnknownName):
             rows_satisfying(space, parse("z"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(formulas_over(list(CHAIN.names)), st.booleans())
+    def test_matches_row_oracle(self, f, restrict):
+        space = interpretation_space(CHAIN)
+        expected = frozenset(
+            j for j, v, ok in space.rows()
+            if eval_oracle(f, dict(zip(CHAIN.names, v)))
+            and (ok or not restrict))
+        assert rows_satisfying(space, f, restrict_consistent=restrict) == expected
 
 
 class TestExtendedSet:
